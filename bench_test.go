@@ -1,6 +1,7 @@
 package perftaint
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -10,7 +11,9 @@ import (
 	"repro/internal/extrap"
 	"repro/internal/interp"
 	"repro/internal/libdb"
+	"repro/internal/modelreg"
 	"repro/internal/runner"
+	"repro/internal/service"
 	"repro/internal/taint"
 )
 
@@ -217,6 +220,56 @@ func BenchmarkSweepParallel(b *testing.B) {
 		if err := runner.FirstErr(res); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkExtract measures one in-process model extraction
+// (modelreg.Extract: taint run, sweep, per-point aggregation, fitting) of
+// the end-to-end benchmark's designs, one sub-benchmark per app: LULESH's
+// 16 small points, where aggregation and fitting dominate, and MILC's 12
+// points of up to 67M tainted instructions, where the interpreter does.
+// Profile it with `go test -run '^$' -bench Extract -cpuprofile cpu.out`.
+func BenchmarkExtract(b *testing.B) {
+	for _, c := range []struct {
+		app string
+		cfg modelreg.Config
+	}{
+		{"lulesh", modelreg.Config{
+			Defaults: apps.Config{"regions": 4, "balance": 2, "cost": 1, "iters": 2},
+			Axes: []modelreg.Axis{
+				{Param: "p", Values: []float64{2, 4, 8, 16}},
+				{Param: "size", Values: []float64{4, 5, 6, 7}},
+			},
+		}},
+		{"milc", modelreg.Config{
+			Axes: []modelreg.Axis{
+				{Param: "p", Values: []float64{4, 8, 16, 32}},
+				{Param: "size", Values: []float64{32, 64, 128}},
+			},
+		}},
+	} {
+		b.Run(c.app, func(b *testing.B) {
+			app := service.BundledApps()[c.app]
+			prep, err := core.Prepare(app.New())
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := c.cfg
+			cfg.App, cfg.Params, cfg.Reps, cfg.Seed, cfg.RelNoise, cfg.Batch = c.app, []string{"p", "size"}, 3, 1, 0.02, 5
+			cfg = service.ResolveModelDefaults(app, cfg)
+			r := runner.New()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ms, err := modelreg.Extract(context.Background(), r, prep, cfg, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if ms.Points != cfg.Size() {
+					b.Fatalf("extracted %d points, want %d", ms.Points, cfg.Size())
+				}
+			}
+			b.ReportMetric(float64(b.N*cfg.Size())/b.Elapsed().Seconds(), "points/s")
+		})
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/apps"
-	"repro/internal/cfg"
 	"repro/internal/taint"
 )
 
@@ -72,8 +71,7 @@ func (r *Report) Census(modelParams []string) Census {
 	}
 
 	for _, fn := range r.Module.FuncList {
-		g := cfg.Build(fn)
-		forest := cfg.FindLoops(g)
+		forest := r.Plan.Forest(fn.Name)
 		c.LoopsTotal += len(forest.Loops)
 		fc := r.Static[fn.Name]
 		for _, l := range forest.Loops {

@@ -41,6 +41,13 @@ type Prepared struct {
 	// per spec and shared read-only by every dynamic run of a batch.
 	Program *interp.Program
 
+	// Plan holds the configuration-independent structure of the module:
+	// the call graph, recursion set, bottom-up function order, and every
+	// function's CFG loop forest. Dependency propagation and the volume
+	// composition of every run read it instead of rebuilding it per
+	// design point.
+	Plan *loopmodel.Plan
+
 	// Mode selects the interpreter engine for Analyze runs; the zero value
 	// is the fast engine. The reference mode exists for differential and
 	// oracle runs; the compiled mode lowers Program into closure chains
@@ -115,6 +122,7 @@ func PrepareModule(spec *apps.Spec, mod *ir.Module, db *libdb.DB) *Prepared {
 		Digest:  SpecDigest(spec),
 		Static:  scev.AnalyzeModule(mod, db.Relevant),
 		Program: interp.Predecode(mod),
+		Plan:    loopmodel.NewPlan(mod),
 	}
 }
 
@@ -124,7 +132,7 @@ func PrepareModule(spec *apps.Spec, mod *ir.Module, db *libdb.DB) *Prepared {
 // plus the implicit MPI parameter p. Analyze is safe to call from multiple
 // goroutines on the same Prepared value.
 func (p *Prepared) Analyze(cfg apps.Config) (*Report, error) {
-	r := &Report{Spec: p.Spec, Module: p.Module, DB: p.DB, Static: p.Static}
+	r := &Report{Spec: p.Spec, Module: p.Module, DB: p.DB, Static: p.Static, Plan: p.Plan}
 
 	// Stage 2: dynamic taint analysis. The predecoded program is shared
 	// read-only across all concurrent runs of this Prepared.
@@ -160,17 +168,21 @@ func (p *Prepared) Analyze(cfg apps.Config) (*Report, error) {
 	// (CalcQForElems inherits p from the boundary exchange it triggers).
 	r.LoopDeps = engine.FuncLoopDeps()
 	r.LibDeps = engine.FuncLibDeps()
-	r.FuncDeps = propagateDeps(p.Module, unionDeps(r.LoopDeps, r.LibDeps))
+	r.FuncDeps = propagateDeps(p.Plan, unionDeps(r.LoopDeps, r.LibDeps))
 
 	// Stage 4: symbolic volumes with static trip counts and library shapes.
-	loopDepFn := func(fn string, loopID int) []string {
-		l := taint.None
-		for k, rec := range engine.Loops {
-			if k.Func == fn && k.LoopID == loopID {
-				l |= rec.Labels
-			}
-		}
-		return engine.Table.Expand(l)
+	// A loop's dependencies are the union of its labels over all calling
+	// contexts, folded once here rather than per query.
+	type loopID struct {
+		fn string
+		id int
+	}
+	loopLabels := make(map[loopID]taint.Label, len(engine.Loops))
+	for k, rec := range engine.Loops {
+		loopLabels[loopID{k.Func, k.LoopID}] |= rec.Labels
+	}
+	loopDepFn := func(fn string, id int) []string {
+		return engine.Table.Expand(loopLabels[loopID{fn, id}])
 	}
 	tripFn := func(fn string, loopID int) (int64, bool) {
 		fc := r.Static[fn]
@@ -183,7 +195,7 @@ func (p *Prepared) Analyze(cfg apps.Config) (*Report, error) {
 		}
 		return tc.Count, true
 	}
-	r.Volumes = loopmodel.Compute(p.Module, loopDepFn, tripFn, p.DB.ExternVolume())
+	r.Volumes = loopmodel.Compute(p.Plan, loopDepFn, tripFn, p.DB.ExternVolume())
 
 	// Stage 5: relevance (the taint-based instrumentation filter).
 	r.Relevant = make(map[string]bool)

@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"repro/internal/apps"
-	"repro/internal/cfg"
 	"repro/internal/extrap"
 	"repro/internal/ir"
 	"repro/internal/libdb"
@@ -27,6 +26,9 @@ type Report struct {
 
 	// Static holds the compile-time classification (Section 5.1).
 	Static map[string]*scev.FuncClass
+	// Plan is the module's configuration-independent structure (call
+	// graph, loop forests), shared read-only with the Prepared spec.
+	Plan *loopmodel.Plan
 	// Engine is the dynamic taint state (Section 5.2).
 	Engine *taint.Engine
 
@@ -68,17 +70,16 @@ func AnalyzeModule(spec *apps.Spec, mod *ir.Module, db *libdb.DB, cfg apps.Confi
 	return PrepareModule(spec, mod, db).Analyze(cfg)
 }
 
-// propagateDeps folds callee dependencies into callers bottom-up.
-func propagateDeps(mod *ir.Module, direct map[string][]string) map[string][]string {
-	cg := cfg.BuildCallGraph(mod)
-	order := cfg.TopoOrder(mod, cg)
-	out := make(map[string]map[string]bool, len(order))
-	for _, fn := range order {
+// propagateDeps folds callee dependencies into callers bottom-up over the
+// planned call graph.
+func propagateDeps(plan *loopmodel.Plan, direct map[string][]string) map[string][]string {
+	out := make(map[string]map[string]bool, len(plan.Order))
+	for _, fn := range plan.Order {
 		set := make(map[string]bool)
 		for _, d := range direct[fn.Name] {
 			set[d] = true
 		}
-		for _, callee := range cg.Callees[fn.Name] {
+		for _, callee := range plan.CallGraph.Callees[fn.Name] {
 			for d := range out[callee] {
 				set[d] = true
 			}

@@ -112,73 +112,3 @@ func (d *Dataset) Validate() error {
 	}
 	return nil
 }
-
-// values returns the per-point mean metric values.
-func (d *Dataset) values() []float64 {
-	out := make([]float64, len(d.Points))
-	for i, p := range d.Points {
-		out[i] = p.Mean()
-	}
-	return out
-}
-
-// distinct returns the sorted distinct values of parameter name.
-func (d *Dataset) distinct(name string) []float64 {
-	set := make(map[float64]bool)
-	for _, p := range d.Points {
-		set[p.Params[name]] = true
-	}
-	out := make([]float64, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Float64s(out)
-	return out
-}
-
-// sliceFor extracts the single-parameter sweep of target: points where all
-// other parameters sit at their minimum value. This is the line of the
-// experiment design Extra-P's first heuristic models in isolation.
-func (d *Dataset) sliceFor(target string) *Dataset {
-	mins := make(map[string]float64)
-	for _, name := range d.ParamNames {
-		if name == target {
-			continue
-		}
-		vals := d.distinct(name)
-		if len(vals) > 0 {
-			mins[name] = vals[0]
-		}
-	}
-	out := NewDataset(target)
-	for _, p := range d.Points {
-		match := true
-		for name, want := range mins {
-			if p.Params[name] != want {
-				match = false
-				break
-			}
-		}
-		if match {
-			out.Add(map[string]float64{target: p.Params[target]}, p.Values...)
-		}
-	}
-	return out
-}
-
-// smape computes the symmetric mean absolute percentage error between
-// predictions and actual values in [0, 2].
-func smape(pred, actual []float64) float64 {
-	if len(pred) == 0 {
-		return 0
-	}
-	s := 0.0
-	for i := range pred {
-		den := math.Abs(pred[i]) + math.Abs(actual[i])
-		if den == 0 {
-			continue
-		}
-		s += 2 * math.Abs(pred[i]-actual[i]) / den
-	}
-	return s / float64(len(pred))
-}

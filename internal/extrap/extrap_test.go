@@ -70,25 +70,35 @@ func TestDatasetValidate(t *testing.T) {
 }
 
 func TestLstsqExactLine(t *testing.T) {
-	// y = 3 + 2x.
-	a := [][]float64{{1, 1}, {1, 2}, {1, 3}, {1, 4}}
+	// y = 3 + 2x; the constant column is implicit.
+	x := []float64{1, 2, 3, 4}
 	y := []float64{5, 7, 9, 11}
-	c, err := lstsq(a, y)
+	c, err := lstsq([][]float64{x}, y, []int{0, 1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(c[0]-3) > 1e-9 || math.Abs(c[1]-2) > 1e-9 {
 		t.Fatalf("coeffs = %v, want [3 2]", c)
 	}
+	// A row subset fits only those rows: y = 3 + 2x still, from rows 1 and 3.
+	c, err = lstsq([][]float64{x}, []float64{0, 7, 0, 11}, []int{1, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(c[0]-3) > 1e-9 || math.Abs(c[1]-2) > 1e-9 {
+		t.Fatalf("row-subset coeffs = %v, want [3 2]", c)
+	}
 }
 
 func TestLstsqSingular(t *testing.T) {
-	a := [][]float64{{1, 2}, {2, 4}, {3, 6}}
-	y := []float64{1, 2, 3}
-	if _, err := lstsq(a, y); err == nil {
+	rows := []int{0, 1, 2}
+	if _, err := lstsq([][]float64{{1, 2, 3}, {2, 4, 6}}, []float64{1, 2, 3}, rows); err == nil {
 		t.Fatal("collinear design must be singular")
 	}
-	if _, err := lstsq(nil, nil); err == nil {
+	if _, err := lstsq([][]float64{{1, 2, 3}}, []float64{1, 2, 3}, rows[:1]); err == nil {
+		t.Fatal("fewer rows than coefficients must be singular")
+	}
+	if _, err := lstsq(nil, nil, nil); err == nil {
 		t.Fatal("empty system must error")
 	}
 }
@@ -379,8 +389,9 @@ func TestModelEvalFiniteProperty(t *testing.T) {
 
 func TestCrossValidationPenalizesTinyData(t *testing.T) {
 	d := synthSingle(func(x float64) float64 { return x }, []float64{2, 4})
-	shapes := []Term{{Factors: map[string]PowLog{"x": {I: 1}}}}
-	if cv := crossValidate(d, shapes); !math.IsInf(cv, 1) {
+	f := newFrame(d, DefaultOptions())
+	cols := [][]float64{f.shape("x", PowLog{I: 1})}
+	if cv := f.crossValidate(f.all, cols); !math.IsInf(cv, 1) {
 		t.Fatalf("cv on 2 points = %g, want +Inf", cv)
 	}
 }
@@ -392,12 +403,14 @@ func TestSliceForHoldsOthersAtMinimum(t *testing.T) {
 			d.Add(map[string]float64{"p": p, "s": s}, p*100+s)
 		}
 	}
-	sl := d.sliceFor("p")
-	if len(sl.Points) != 2 {
-		t.Fatalf("slice size = %d, want 2", len(sl.Points))
+	f := newFrame(d, DefaultOptions())
+	rows := f.slice("p")
+	if len(rows) != 2 {
+		t.Fatalf("slice size = %d, want 2", len(rows))
 	}
-	for _, pt := range sl.Points {
-		if pt.Mean() != pt.Params["p"]*100+10 {
+	for _, r := range rows {
+		pt := d.Points[r]
+		if f.y[r] != pt.Params["p"]*100+10 {
 			t.Fatalf("slice picked wrong s: %+v", pt)
 		}
 	}

@@ -54,72 +54,62 @@ func ModelMulti(d *Dataset, opt Options, prior *Prior) (*Model, error) {
 	if prior == nil {
 		prior = allowAll()
 	}
-
-	constModel, err := fitHypothesis(d, nil)
+	f := newFrame(d, opt)
+	constant, err := f.try(f.all, nil)
 	if err != nil {
 		return nil, fmt.Errorf("extrap: constant fit failed: %w", err)
 	}
 	if prior.ForceConstant {
-		constModel.CV = crossValidate(d, nil)
-		return constModel, nil
+		return f.model(constant), nil
 	}
 
 	// Active parameters: at least two distinct values and prior-allowed.
 	var active []string
 	for _, name := range d.ParamNames {
-		if len(d.distinct(name)) >= 2 && prior.allows(name) {
+		if len(f.param(name).distinct) >= 2 && prior.allows(name) {
 			active = append(active, name)
 		}
 	}
 	sort.Strings(active)
 	if len(active) == 0 {
-		constModel.CV = crossValidate(d, nil)
-		return constModel, nil
+		return f.model(constant), nil
 	}
-	if len(active) == 1 {
-		return modelRestricted(d, active, opt, prior)
-	}
-	return modelRestricted(d, active, opt, prior)
+	return f.combine(active, prior, constant), nil
 }
 
 // bestShape finds the strongest single-term shape for one parameter using
 // its dedicated sweep (the first multi-parameter heuristic of Extra-P).
-func bestShape(d *Dataset, param string, opt Options) (PowLog, bool) {
-	slice := d.sliceFor(param)
-	if len(slice.Points) < 3 {
+func (f *frame) bestShape(param string) (PowLog, bool) {
+	rows := f.slice(param)
+	if len(rows) < 3 {
 		return PowLog{}, false
 	}
 	bestScore := math.Inf(1)
 	var best PowLog
 	found := false
-	for _, pl := range opt.Space.Shapes() {
-		shapes := []Term{{Factors: map[string]PowLog{param: pl}}}
-		m, err := fitHypothesis(slice, shapes)
+	for _, pl := range f.space {
+		c, err := f.try(rows, [][]float64{f.shape(param, pl)})
 		if err != nil {
 			continue
 		}
-		s := opt.score(slice, shapes, m)
-		if s < bestScore {
-			bestScore, best, found = s, pl, true
+		if c.score < bestScore {
+			bestScore, best, found = c.score, pl, true
 		}
 	}
 	return best, found
 }
 
-// modelRestricted runs the combination search over the given parameters.
-func modelRestricted(d *Dataset, params []string, opt Options, prior *Prior) (*Model, error) {
-	shapes := make(map[string]PowLog, len(params))
-	for _, p := range params {
-		if pl, ok := bestShape(d, p, opt); ok {
-			shapes[p] = pl
-		}
-	}
+// combine runs the combination search over the given parameters,
+// starting from the constant hypothesis.
+func (f *frame) combine(params []string, prior *Prior, best candidate) *Model {
 	// Build the candidate term pool: one single term per parameter plus
 	// product terms for each prior-allowed group of 2..3 parameters.
+	shapes := make(map[string]PowLog, len(params))
 	var pool []Term
 	var have []string
 	for _, p := range params {
-		if pl, ok := shapes[p]; ok {
+		if pl, ok := f.bestShape(p); ok {
+			shapes[p] = pl
 			pool = append(pool, Term{Factors: map[string]PowLog{p: pl}})
 			have = append(have, p)
 		}
@@ -136,26 +126,47 @@ func modelRestricted(d *Dataset, params []string, opt Options, prior *Prior) (*M
 			}
 		}
 	}
-
-	constModel, err := fitHypothesis(d, nil)
-	if err != nil {
-		return nil, err
+	cols := make([][]float64, len(pool))
+	for i, t := range pool {
+		cols[i] = f.column(t)
 	}
-	best := scored{model: constModel, score: opt.score(d, nil, constModel)}
-	bestComplexity := 0
 
-	maxTerms := opt.Space.MaxTerms
+	bestComplexity := 0
+	consider := func(idx ...int) {
+		h := make([][]float64, len(idx))
+		for t, i := range idx {
+			h[t] = cols[i]
+		}
+		c, err := f.try(f.all, h)
+		if err != nil {
+			return
+		}
+		terms := make([]Term, len(idx))
+		for t, i := range idx {
+			terms[t] = pool[i]
+		}
+		cx := complexity(terms)
+		switch {
+		case improves(c.score, best.score, f.opt.MinImprovement):
+		case cx < bestComplexity && c.score <= best.score:
+			// Equal quality at lower complexity wins (Occam).
+		default:
+			return
+		}
+		c.terms = terms
+		best, bestComplexity = c, cx
+	}
+	maxTerms := f.opt.Space.MaxTerms
 	if maxTerms < 1 {
 		maxTerms = 2
 	}
-	var hyps [][]Term
 	for i := range pool {
-		hyps = append(hyps, []Term{pool[i]})
+		consider(i)
 	}
 	if maxTerms >= 2 {
 		for i := range pool {
 			for j := i + 1; j < len(pool); j++ {
-				hyps = append(hyps, []Term{pool[i], pool[j]})
+				consider(i, j)
 			}
 		}
 	}
@@ -163,31 +174,12 @@ func modelRestricted(d *Dataset, params []string, opt Options, prior *Prior) (*M
 		for i := range pool {
 			for j := i + 1; j < len(pool); j++ {
 				for k := j + 1; k < len(pool); k++ {
-					hyps = append(hyps, []Term{pool[i], pool[j], pool[k]})
+					consider(i, j, k)
 				}
 			}
 		}
 	}
-
-	for _, h := range hyps {
-		m, err := fitHypothesis(d, h)
-		if err != nil {
-			continue
-		}
-		s := opt.score(d, h, m)
-		c := complexity(h)
-		switch {
-		case improves(s, best.score, opt.MinImprovement):
-			best = scored{model: m, shapes: h, score: s}
-			bestComplexity = c
-		case c < bestComplexity && s <= best.score:
-			// Equal quality at lower complexity wins (Occam).
-			best = scored{model: m, shapes: h, score: s}
-			bestComplexity = c
-		}
-	}
-	best.model.CV = crossValidate(d, best.shapes)
-	return best.model, nil
+	return f.model(best)
 }
 
 // complexity orders hypotheses: more terms and more coupled parameters are

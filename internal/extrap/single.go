@@ -42,20 +42,6 @@ func DefaultOptions() Options {
 	}
 }
 
-func (o Options) score(d *Dataset, shapes []Term, m *Model) float64 {
-	if o.Selection == SelectCV {
-		return crossValidate(d, shapes)
-	}
-	return m.SMAPE
-}
-
-// scored pairs a fitted hypothesis with its selection score.
-type scored struct {
-	model  *Model
-	shapes []Term
-	score  float64
-}
-
 // ModelSingle fits the best PMNF model in one parameter. The search follows
 // Extra-P: fit the constant hypothesis, then every one-term hypothesis,
 // then two-term combinations seeded by the best one-term candidates, and
@@ -67,24 +53,22 @@ func ModelSingle(d *Dataset, param string, opt Options) (*Model, error) {
 	if opt.Space.MaxTerms == 0 {
 		opt = DefaultOptions()
 	}
-
-	constModel, err := fitHypothesis(d, nil)
+	f := newFrame(d, opt)
+	best, err := f.try(f.all, nil)
 	if err != nil {
 		return nil, fmt.Errorf("extrap: constant fit failed: %w", err)
 	}
-	constScore := opt.score(d, nil, constModel)
-	constModel.CV = crossValidate(d, nil)
 
-	best := scored{model: constModel, score: constScore}
-
-	var oneTerm []scored
-	for _, pl := range opt.Space.Shapes() {
-		shapes := []Term{{Factors: map[string]PowLog{param: pl}}}
-		m, err := fitHypothesis(d, shapes)
+	terms := make([]Term, len(f.space))
+	var oneTerm []candidate
+	for i, pl := range f.space {
+		terms[i] = Term{Factors: map[string]PowLog{param: pl}}
+		c, err := f.try(f.all, [][]float64{f.shape(param, pl)})
 		if err != nil {
 			continue
 		}
-		oneTerm = append(oneTerm, scored{model: m, shapes: shapes, score: opt.score(d, shapes, m)})
+		c.terms = terms[i : i+1]
+		oneTerm = append(oneTerm, c)
 	}
 	sort.Slice(oneTerm, func(i, j int) bool { return oneTerm[i].score < oneTerm[j].score })
 
@@ -100,32 +84,28 @@ func ModelSingle(d *Dataset, param string, opt Options) (*Model, error) {
 		if k > len(oneTerm) {
 			k = len(oneTerm)
 		}
-		var bestTwo scored
-		bestTwo.score = math.Inf(1)
-		for ci := 0; ci < k; ci++ {
-			first := oneTerm[ci].shapes[0]
-			for _, pl := range opt.Space.Shapes() {
-				if pl == first.Factors[param] {
+		bestTwo := candidate{score: math.Inf(1)}
+		for _, first := range oneTerm[:k] {
+			lead := first.terms[0]
+			for i, pl := range f.space {
+				if pl == lead.Factors[param] {
 					continue
 				}
-				shapes := []Term{first, {Factors: map[string]PowLog{param: pl}}}
-				m, err := fitHypothesis(d, shapes)
+				c, err := f.try(f.all, [][]float64{first.cols[0], f.shape(param, pl)})
 				if err != nil {
 					continue
 				}
-				s := opt.score(d, shapes, m)
-				if s < bestTwo.score {
-					bestTwo = scored{model: m, shapes: shapes, score: s}
+				if c.score < bestTwo.score {
+					c.terms = []Term{lead, terms[i]}
+					bestTwo = c
 				}
 			}
 		}
-		if bestTwo.model != nil && improves(bestTwo.score, best.score, opt.MinImprovement) {
+		if bestTwo.coef != nil && improves(bestTwo.score, best.score, opt.MinImprovement) {
 			best = bestTwo
 		}
 	}
-
-	best.model.CV = crossValidate(d, best.shapes)
-	return best.model, nil
+	return f.model(best), nil
 }
 
 // improves reports whether candidate beats incumbent by the relative margin.

@@ -9,30 +9,43 @@ import (
 // the corresponding hypothesis is discarded.
 var errSingular = errors.New("extrap: singular normal equations")
 
-// lstsq solves min ||A c - y||^2 for c via the normal equations
-// (A^T A) c = A^T y with Gaussian elimination and partial pivoting.
-// A is row-major with rows = len(y), cols = k.
-func lstsq(a [][]float64, y []float64) ([]float64, error) {
-	rows := len(a)
-	if rows == 0 {
+// lstsq solves min ||A c - y||^2 over the given rows, where column 0 of A
+// is the constant 1 and column t+1 is cols[t]. It sums the normal
+// equations (A^T A) c = A^T y straight from the columns, row by row in
+// the order of rows, and solves them by Gaussian elimination with partial
+// pivoting. The result holds the constant first.
+func lstsq(cols [][]float64, y []float64, rows []int) ([]float64, error) {
+	k := len(cols) + 1
+	if len(rows) == 0 || len(rows) < k {
 		return nil, errSingular
 	}
-	k := len(a[0])
-	if rows < k {
-		return nil, errSingular
-	}
-	// Normal matrix N = A^T A (k x k), rhs = A^T y.
+	// Normal matrix N = A^T A (k x k) augmented with rhs = A^T y. It is
+	// symmetric, and a[i]*a[j] == a[j]*a[i] exactly, so only the upper
+	// triangle is summed.
+	w := k + 1
+	buf := make([]float64, k*w+k)
 	n := make([][]float64, k)
 	for i := range n {
-		n[i] = make([]float64, k+1)
+		n[i] = buf[i*w : (i+1)*w]
 	}
-	for r := 0; r < rows; r++ {
-		row := a[r]
+	a := buf[k*w:]
+	a[0] = 1
+	for _, r := range rows {
+		for t, col := range cols {
+			a[t+1] = col[r]
+		}
+		yr := y[r]
 		for i := 0; i < k; i++ {
-			for j := 0; j < k; j++ {
-				n[i][j] += row[i] * row[j]
+			ni, ai := n[i], a[i]
+			for j := i; j < k; j++ {
+				ni[j] += ai * a[j]
 			}
-			n[i][k] += row[i] * y[r]
+			ni[k] += ai * yr
+		}
+	}
+	for i := 1; i < k; i++ {
+		for j := 0; j < i; j++ {
+			n[i][j] = n[j][i]
 		}
 	}
 	// Gaussian elimination with partial pivoting on the augmented matrix.
@@ -69,71 +82,4 @@ func lstsq(a [][]float64, y []float64) ([]float64, error) {
 		}
 	}
 	return c, nil
-}
-
-// designMatrix builds the regression matrix for a hypothesis: column 0 is
-// the constant 1, column t+1 is the shape value of term t at each point.
-func designMatrix(d *Dataset, shapes []Term) [][]float64 {
-	a := make([][]float64, len(d.Points))
-	for r, p := range d.Points {
-		row := make([]float64, len(shapes)+1)
-		row[0] = 1
-		for t, term := range shapes {
-			row[t+1] = term.evalShape(p.Params)
-		}
-		a[r] = row
-	}
-	return a
-}
-
-// fitHypothesis fits constant + coefficients for the given term shapes and
-// returns the resulting model with training RSS/SMAPE filled in.
-func fitHypothesis(d *Dataset, shapes []Term) (*Model, error) {
-	y := d.values()
-	a := designMatrix(d, shapes)
-	c, err := lstsq(a, y)
-	if err != nil {
-		return nil, err
-	}
-	m := &Model{Constant: c[0]}
-	for t, term := range shapes {
-		fitted := term
-		fitted.Coeff = c[t+1]
-		m.Terms = append(m.Terms, fitted)
-	}
-	pred := make([]float64, len(d.Points))
-	rss := 0.0
-	for i, p := range d.Points {
-		pred[i] = m.Eval(p.Params)
-		dlt := pred[i] - y[i]
-		rss += dlt * dlt
-	}
-	m.RSS = rss
-	m.SMAPE = smape(pred, y)
-	return m, nil
-}
-
-// crossValidate computes the leave-one-out SMAPE of a hypothesis: for each
-// point, refit on the remainder and predict the left-out value. Hypotheses
-// that become singular under any fold are penalized with +Inf.
-func crossValidate(d *Dataset, shapes []Term) float64 {
-	nPts := len(d.Points)
-	if nPts < len(shapes)+2 {
-		return math.Inf(1)
-	}
-	preds := make([]float64, 0, nPts)
-	actuals := make([]float64, 0, nPts)
-	for leave := 0; leave < nPts; leave++ {
-		sub := &Dataset{ParamNames: d.ParamNames}
-		sub.Points = make([]Point, 0, nPts-1)
-		sub.Points = append(sub.Points, d.Points[:leave]...)
-		sub.Points = append(sub.Points, d.Points[leave+1:]...)
-		m, err := fitHypothesis(sub, shapes)
-		if err != nil {
-			return math.Inf(1)
-		}
-		preds = append(preds, m.Eval(d.Points[leave].Params))
-		actuals = append(actuals, d.Points[leave].Mean())
-	}
-	return smape(preds, actuals)
 }

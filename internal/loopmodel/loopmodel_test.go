@@ -195,7 +195,7 @@ func testTrips(fn string, loopID int) (int64, bool) {
 
 func TestComputeVolumesInterprocedural(t *testing.T) {
 	m := buildModule(t)
-	v := Compute(m, testDeps, testTrips, nil)
+	v := Compute(NewPlan(m), testDeps, testTrips, nil)
 
 	mainStruct := v.StructByFunc["main"]
 	if !mainStruct.Multiplicative("p", "s") {
@@ -216,7 +216,7 @@ func TestComputeVolumesInterprocedural(t *testing.T) {
 
 func TestComputeVolumesLocalExcludesCallees(t *testing.T) {
 	m := buildModule(t)
-	v := Compute(m, testDeps, testTrips, nil)
+	v := Compute(NewPlan(m), testDeps, testTrips, nil)
 	local := StructureOf(v.LocalByFunc["main"])
 	if got := local.Params(); !reflect.DeepEqual(got, []string{"p"}) {
 		t.Fatalf("main local params = %v, want [p]", got)
@@ -236,7 +236,7 @@ func TestComputeVolumesExtern(t *testing.T) {
 		}
 		return nil
 	}
-	v := Compute(m, nil, nil, ext)
+	v := Compute(NewPlan(m), nil, nil, ext)
 	st := v.StructByFunc["comm"]
 	if got := st.Params(); !reflect.DeepEqual(got, []string{"p"}) {
 		t.Fatalf("comm params = %v, want [p]", got)
@@ -254,7 +254,7 @@ func TestComputeVolumesRecursionWarning(t *testing.T) {
 	bb.RetVoid()
 	bb.Finish()
 
-	v := Compute(m, nil, nil, nil)
+	v := Compute(NewPlan(m), nil, nil, nil)
 	if len(v.RecursionWarnings) != 2 {
 		t.Fatalf("recursion warnings = %v, want a and b", v.RecursionWarnings)
 	}

@@ -36,34 +36,97 @@ type Volumes struct {
 	RecursionWarnings []string
 }
 
-// Compute derives volumes for every function in m bottom-up over the call
-// graph. deps and trips may be nil (then every non-constant loop counts as
-// an unknown with no parameters); externVol may be nil.
-func Compute(m *ir.Module, deps LoopDeps, trips StaticTrip, externVol ExternVolume) *Volumes {
+// Plan is the configuration-independent structure Compute walks: the
+// call graph, the recursion set, the bottom-up function order, and each
+// function's CFG-derived loop forest with its call sites attributed to
+// their innermost loops. None of it depends on the configuration a run
+// analyzes, so a spec builds one Plan (core.Prepared does, once per
+// spec) and every Compute of every design point reads it. A Plan is
+// immutable after NewPlan and safe for concurrent use.
+type Plan struct {
+	// CallGraph maps each function to its callees.
+	CallGraph *cfg.CallGraph
+	// Order lists the module's functions callees first (cfg.TopoOrder).
+	Order []*ir.Function
+	// Recursive marks the functions on call-graph cycles.
+	Recursive map[string]bool
+	// recursion lists the Recursive functions sorted, nil when none.
+	recursion []string
+	funcs     map[string]*funcPlan
+}
+
+// funcPlan is one function's part of a Plan.
+type funcPlan struct {
+	forest *cfg.Forest
+	// calls lists the callees of the call sites in reachable blocks, per
+	// innermost containing loop (nil = top level), in block and
+	// instruction order.
+	calls map[*cfg.Loop][]string
+}
+
+// NewPlan builds the call graph, recursion set, bottom-up order and
+// every function's loop forest of m.
+func NewPlan(m *ir.Module) *Plan {
 	cg := cfg.BuildCallGraph(m)
 	rec := cg.FindRecursion()
-	recSet := make(map[string]bool, len(rec))
-	for _, r := range rec {
-		recSet[r] = true
-	}
 	sort.Strings(rec)
+	p := &Plan{
+		CallGraph: cg,
+		Order:     cfg.TopoOrder(m, cg),
+		Recursive: make(map[string]bool, len(rec)),
+		recursion: rec,
+		funcs:     make(map[string]*funcPlan, len(m.FuncList)),
+	}
+	for _, r := range rec {
+		p.Recursive[r] = true
+	}
+	for _, fn := range m.FuncList {
+		g := cfg.Build(fn)
+		fp := &funcPlan{forest: cfg.FindLoops(g), calls: make(map[*cfg.Loop][]string)}
+		for bi, blk := range fn.Blocks {
+			if !g.Reachable(bi) {
+				continue
+			}
+			owner := fp.forest.InnermostAt[bi]
+			for ii := range blk.Instrs {
+				if in := &blk.Instrs[ii]; in.Op == ir.OpCall {
+					fp.calls[owner] = append(fp.calls[owner], in.Sym)
+				}
+			}
+		}
+		p.funcs[fn.Name] = fp
+	}
+	return p
+}
 
+// Forest returns the loop nesting forest of function fn (nil when fn is
+// not in the planned module).
+func (p *Plan) Forest(fn string) *cfg.Forest {
+	if fp := p.funcs[fn]; fp != nil {
+		return fp.forest
+	}
+	return nil
+}
+
+// Compute derives volumes for every function of the planned module
+// bottom-up over the call graph. deps and trips may be nil (then every
+// non-constant loop counts as an unknown with no parameters); externVol
+// may be nil.
+func Compute(plan *Plan, deps LoopDeps, trips StaticTrip, externVol ExternVolume) *Volumes {
 	v := &Volumes{
-		ByFunc:            make(map[string]Expr, len(m.FuncList)),
-		LocalByFunc:       make(map[string]Expr, len(m.FuncList)),
-		StructByFunc:      make(map[string]Structure, len(m.FuncList)),
-		RecursionWarnings: rec,
+		ByFunc:            make(map[string]Expr, len(plan.Order)),
+		LocalByFunc:       make(map[string]Expr, len(plan.Order)),
+		StructByFunc:      make(map[string]Structure, len(plan.Order)),
+		RecursionWarnings: append([]string(nil), plan.recursion...),
 	}
 
-	order := cfg.TopoOrder(m, cg)
-	for _, fn := range order {
-		if recSet[fn.Name] {
+	for _, fn := range plan.Order {
+		fp := plan.funcs[fn.Name]
+		if plan.Recursive[fn.Name] {
 			// Over-approximate recursive functions: unknown over all params
 			// of their loops.
 			set := make(map[string]bool)
-			g := cfg.Build(fn)
-			forest := cfg.FindLoops(g)
-			for _, l := range forest.Loops {
+			for _, l := range fp.forest.Loops {
 				if deps != nil {
 					for _, p := range deps(fn.Name, l.ID) {
 						set[p] = true
@@ -81,7 +144,7 @@ func Compute(m *ir.Module, deps LoopDeps, trips StaticTrip, externVol ExternVolu
 			v.StructByFunc[fn.Name] = StructureOf(e)
 			continue
 		}
-		incl, local := computeFunc(fn, v.ByFunc, deps, trips, externVol)
+		incl, local := computeFunc(fn.Name, fp, v.ByFunc, deps, trips, externVol)
 		v.ByFunc[fn.Name] = incl
 		v.LocalByFunc[fn.Name] = local
 		v.StructByFunc[fn.Name] = StructureOf(incl)
@@ -91,27 +154,18 @@ func Compute(m *ir.Module, deps LoopDeps, trips StaticTrip, externVol ExternVolu
 
 // computeFunc returns the inclusive and local volumes of fn given already
 // computed callee volumes.
-func computeFunc(fn *ir.Function, memo map[string]Expr, deps LoopDeps, trips StaticTrip, externVol ExternVolume) (incl, local Expr) {
-	g := cfg.Build(fn)
-	forest := cfg.FindLoops(g)
+func computeFunc(fn string, fp *funcPlan, memo map[string]Expr, deps LoopDeps, trips StaticTrip, externVol ExternVolume) (incl, local Expr) {
+	forest := fp.forest
 
-	// Calls attributed to their innermost containing loop (nil = top level).
-	callsIn := make(map[*cfg.Loop][]Expr)
-	for bi, blk := range fn.Blocks {
-		if !g.Reachable(bi) {
-			continue
-		}
-		owner := forest.InnermostAt[bi]
-		for ii := range blk.Instrs {
-			in := &blk.Instrs[ii]
-			if in.Op != ir.OpCall {
-				continue
-			}
+	// Callee volumes attributed to their innermost containing loop.
+	callsIn := make(map[*cfg.Loop][]Expr, len(fp.calls))
+	for owner, callees := range fp.calls {
+		for _, callee := range callees {
 			var ce Expr
-			if e, ok := memo[in.Sym]; ok {
+			if e, ok := memo[callee]; ok {
 				ce = e
 			} else if externVol != nil {
-				ce = externVol(in.Sym)
+				ce = externVol(callee)
 			}
 			if ce != nil {
 				callsIn[owner] = append(callsIn[owner], ce)
@@ -121,7 +175,7 @@ func computeFunc(fn *ir.Function, memo map[string]Expr, deps LoopDeps, trips Sta
 
 	countOf := func(l *cfg.Loop) Expr {
 		if trips != nil {
-			if c, ok := trips(fn.Name, l.ID); ok {
+			if c, ok := trips(fn, l.ID); ok {
 				if c < 0 {
 					c = 1
 				}
@@ -130,7 +184,7 @@ func computeFunc(fn *ir.Function, memo map[string]Expr, deps LoopDeps, trips Sta
 		}
 		var ps []string
 		if deps != nil {
-			ps = deps(fn.Name, l.ID)
+			ps = deps(fn, l.ID)
 		}
 		return Unknown{Params: append([]string(nil), ps...)}
 	}
