@@ -98,16 +98,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validate checks the design against spec: every axis and model
+// Validate checks the design, with the optional fields defaulted as
+// the pipeline defaults them, against spec: every axis and model
 // parameter must be a spec parameter (or the implicit p), model
 // parameters must be swept, axes must not repeat, and the expanded grid
 // must provide every spec parameter with p >= 1.
 func (c Config) Validate(spec *apps.Spec) error {
+	c = c.withDefaults()
 	if len(c.Axes) == 0 {
 		return fmt.Errorf("modelreg: design has no axes")
-	}
-	if len(c.Params) == 0 {
-		return fmt.Errorf("modelreg: no model parameters")
 	}
 	known := func(name string) bool {
 		if name == "p" {

@@ -206,6 +206,9 @@ func TestConfigValidate(t *testing.T) {
 	// parameters in axis order (the same rule on CLI, daemon, library).
 	noParams := base
 	noParams.Params = nil
+	if err := noParams.Validate(spec); err != nil {
+		t.Fatalf("empty params rejected before defaulting: %v", err)
+	}
 	filled := noParams.withDefaults()
 	if err := filled.Validate(spec); err != nil {
 		t.Fatalf("axis-params default rejected: %v", err)

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"sync"
@@ -90,6 +92,52 @@ func TestServeModelsCachesBySpecAndDesign(t *testing.T) {
 	}
 	if stats.Models.Entries != 2 || stats.Models.Misses != 2 {
 		t.Fatalf("stats.Models = %+v", stats.Models)
+	}
+}
+
+// TestServeModelsDefaultsEmptyParams pins the documented default of
+// ModelRequest.Params: an empty list means the axis parameters in axis
+// order, so the request is accepted and answers with the same registry
+// key and model set bytes as one naming them explicitly. Each request
+// goes to its own server, so neither answer is a registry hit of the
+// other.
+func TestServeModelsDefaultsEmptyParams(t *testing.T) {
+	ctx := context.Background()
+	extract := func(name string, params []string) *ModelResponse {
+		t.Helper()
+		var resp *ModelResponse
+		ok := t.Run(name, func(t *testing.T) {
+			_, client := testServer(t, Options{Workers: 2})
+			req := modelTestRequest()
+			req.Params = params
+			var err error
+			if resp, err = client.Models(ctx, req); err != nil {
+				t.Fatal(err)
+			}
+			if resp.Cached {
+				t.Fatal("fresh server claims a registry hit")
+			}
+		})
+		if !ok {
+			t.FailNow()
+		}
+		return resp
+	}
+	implicit := extract("empty", nil)
+	explicit := extract("explicit", []string{"p", "size"})
+	if implicit.Key != explicit.Key {
+		t.Fatalf("empty params keyed %s, explicit axis-order params %s", implicit.Key, explicit.Key)
+	}
+	a, err := json.Marshal(implicit.ModelSet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(explicit.ModelSet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("empty params extracted a different model set than explicit axis-order params")
 	}
 }
 
