@@ -231,21 +231,17 @@ func BenchmarkSweepParallel(b *testing.B) {
 // Profile it with `go test -run '^$' -bench Extract -cpuprofile cpu.out`.
 func BenchmarkExtract(b *testing.B) {
 	for _, c := range []struct {
-		app string
-		cfg modelreg.Config
+		app      string
+		defaults apps.Config
+		axes     []modelreg.Axis
 	}{
-		{"lulesh", modelreg.Config{
-			Defaults: apps.Config{"regions": 4, "balance": 2, "cost": 1, "iters": 2},
-			Axes: []modelreg.Axis{
-				{Param: "p", Values: []float64{2, 4, 8, 16}},
-				{Param: "size", Values: []float64{4, 5, 6, 7}},
-			},
+		{"lulesh", apps.Config{"regions": 4, "balance": 2, "cost": 1, "iters": 2}, []modelreg.Axis{
+			{Param: "p", Values: []float64{2, 4, 8, 16}},
+			{Param: "size", Values: []float64{4, 5, 6, 7}},
 		}},
-		{"milc", modelreg.Config{
-			Axes: []modelreg.Axis{
-				{Param: "p", Values: []float64{4, 8, 16, 32}},
-				{Param: "size", Values: []float64{32, 64, 128}},
-			},
+		{"milc", nil, []modelreg.Axis{
+			{Param: "p", Values: []float64{4, 8, 16, 32}},
+			{Param: "size", Values: []float64{32, 64, 128}},
 		}},
 	} {
 		b.Run(c.app, func(b *testing.B) {
@@ -254,9 +250,10 @@ func BenchmarkExtract(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			cfg := c.cfg
-			cfg.App, cfg.Params, cfg.Reps, cfg.Seed, cfg.RelNoise, cfg.Batch = c.app, []string{"p", "size"}, 3, 1, 0.02, 5
-			cfg = service.ResolveModelDefaults(app, cfg)
+			cfg := service.ResolveModelDefaults(app, modelreg.Config{
+				App: c.app, Params: []string{"p", "size"}, Defaults: c.defaults, Axes: c.axes,
+				Reps: 3, Seed: 1, RelNoise: 0.02, Batch: 5,
+			})
 			r := runner.New()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

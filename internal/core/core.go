@@ -15,14 +15,16 @@ import (
 
 // Prepared caches the per-spec artifacts that every configuration of a
 // batch shares: the built and verified IR module, the library database,
-// and the static classification of Section 5.1. Building the module and
+// the static classification of Section 5.1, the predecoded program, and
+// the module's loop plan. Building the module and
 // running the static pass dominate single-run latency, so preparing once
 // and fanning the dynamic tainted runs out over configurations is what
 // makes batch analysis scale (see internal/runner).
 //
 // A Prepared value is immutable after construction and safe for concurrent
 // use: every Analyze call creates its own interpreter machine and taint
-// engine, and only reads the shared module, database, and static maps.
+// engine, and only reads the shared module, database, static maps, and
+// plan.
 type Prepared struct {
 	Spec   *apps.Spec
 	Module *ir.Module

@@ -126,35 +126,40 @@ func (f *frame) combine(params []string, prior *Prior, best candidate) *Model {
 			}
 		}
 	}
+	// Each pool term's column, and its complexity: one for the term plus
+	// one per coupled parameter, so more terms and more coupled
+	// parameters are more complex.
 	cols := make([][]float64, len(pool))
+	cx := make([]int, len(pool))
 	for i, t := range pool {
 		cols[i] = f.column(t)
+		cx[i] = 1 + len(t.Params())
 	}
 
 	bestComplexity := 0
 	consider := func(idx ...int) {
 		h := make([][]float64, len(idx))
+		complexity := 0
 		for t, i := range idx {
 			h[t] = cols[i]
+			complexity += cx[i]
 		}
 		c, err := f.try(f.all, h)
 		if err != nil {
 			return
 		}
-		terms := make([]Term, len(idx))
-		for t, i := range idx {
-			terms[t] = pool[i]
-		}
-		cx := complexity(terms)
 		switch {
 		case improves(c.score, best.score, f.opt.MinImprovement):
-		case cx < bestComplexity && c.score <= best.score:
+		case complexity < bestComplexity && c.score <= best.score:
 			// Equal quality at lower complexity wins (Occam).
 		default:
 			return
 		}
-		c.terms = terms
-		best, bestComplexity = c, cx
+		c.terms = make([]Term, len(idx))
+		for t, i := range idx {
+			c.terms[t] = pool[i]
+		}
+		best, bestComplexity = c, complexity
 	}
 	maxTerms := f.opt.Space.MaxTerms
 	if maxTerms < 1 {
@@ -180,16 +185,6 @@ func (f *frame) combine(params []string, prior *Prior, best candidate) *Model {
 		}
 	}
 	return f.model(best)
-}
-
-// complexity orders hypotheses: more terms and more coupled parameters are
-// more complex.
-func complexity(shapes []Term) int {
-	c := 0
-	for _, t := range shapes {
-		c += 1 + len(t.Params())
-	}
-	return c
 }
 
 // productTerm multiplies the per-parameter shapes of group into one term.

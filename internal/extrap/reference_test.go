@@ -169,13 +169,13 @@ func refModelRestricted(d *Dataset, params []string, opt Options, prior *Prior) 
 	}
 	for _, group := range combinations(have, 2) {
 		if prior.mulOK(group) {
-			pool = append(pool, refProductTerm(shapes, group))
+			pool = append(pool, productTerm(shapes, group))
 		}
 	}
 	if len(have) >= 3 {
 		for _, group := range combinations(have, 3) {
 			if prior.mulOK(group) {
-				pool = append(pool, refProductTerm(shapes, group))
+				pool = append(pool, productTerm(shapes, group))
 			}
 		}
 	}
@@ -232,20 +232,14 @@ func refModelRestricted(d *Dataset, params []string, opt Options, prior *Prior) 
 	return best.model, nil
 }
 
+// refComplexity orders hypotheses: more terms and more coupled
+// parameters are more complex.
 func refComplexity(shapes []Term) int {
 	c := 0
 	for _, t := range shapes {
 		c += 1 + len(t.Params())
 	}
 	return c
-}
-
-func refProductTerm(shapes map[string]PowLog, group []string) Term {
-	f := make(map[string]PowLog, len(group))
-	for _, p := range group {
-		f[p] = shapes[p]
-	}
-	return Term{Factors: f}
 }
 
 // refValues returns the per-point mean metric values.

@@ -48,9 +48,9 @@ type Plan struct {
 	CallGraph *cfg.CallGraph
 	// Order lists the module's functions callees first (cfg.TopoOrder).
 	Order []*ir.Function
-	// Recursive marks the functions on call-graph cycles.
-	Recursive map[string]bool
-	// recursion lists the Recursive functions sorted, nil when none.
+	// recursive marks the functions on call-graph cycles; recursion lists
+	// them sorted, nil when there are none.
+	recursive map[string]bool
 	recursion []string
 	funcs     map[string]*funcPlan
 }
@@ -73,12 +73,12 @@ func NewPlan(m *ir.Module) *Plan {
 	p := &Plan{
 		CallGraph: cg,
 		Order:     cfg.TopoOrder(m, cg),
-		Recursive: make(map[string]bool, len(rec)),
+		recursive: make(map[string]bool, len(rec)),
 		recursion: rec,
 		funcs:     make(map[string]*funcPlan, len(m.FuncList)),
 	}
 	for _, r := range rec {
-		p.Recursive[r] = true
+		p.recursive[r] = true
 	}
 	for _, fn := range m.FuncList {
 		g := cfg.Build(fn)
@@ -122,7 +122,7 @@ func Compute(plan *Plan, deps LoopDeps, trips StaticTrip, externVol ExternVolume
 
 	for _, fn := range plan.Order {
 		fp := plan.funcs[fn.Name]
-		if plan.Recursive[fn.Name] {
+		if plan.recursive[fn.Name] {
 			// Over-approximate recursive functions: unknown over all params
 			// of their loops.
 			set := make(map[string]bool)
