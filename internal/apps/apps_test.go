@@ -28,6 +28,21 @@ func TestQuantityEval(t *testing.T) {
 	}
 }
 
+// TestQuantityEvalBitStable pins the product order of Eval: the factors
+// multiply in sorted parameter order, so every call returns one bit
+// pattern. In map-iteration order this quantity rounds two ways.
+func TestQuantityEvalBitStable(t *testing.T) {
+	q := Quantity{Coeff: 3, Pow: map[string]int{"a": 1, "b": -1, "c": -1, "d": 2}}
+	cfg := map[string]float64{"a": 7, "b": 3, "c": 11, "d": 0.1}
+	want := 3 * math.Pow(7, 1) * math.Pow(3, -1) * math.Pow(11, -1) * math.Pow(0.1, 2)
+	for i := 0; i < 2000; i++ {
+		if got := q.Eval(cfg); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: Eval = %v (bits %x), want %v (bits %x)",
+				i, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
 func TestSpecValidateCatchesUnknownCallee(t *testing.T) {
 	s := &Spec{
 		Name:   "bad",

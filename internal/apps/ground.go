@@ -3,6 +3,7 @@ package apps
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/mpisim"
 )
@@ -31,14 +32,47 @@ type Ground struct {
 	// CallsFrom[caller][callee] counts direct call-edge executions,
 	// including edges into MPI routines.
 	CallsFrom map[string]map[string]float64
+
+	// callees holds the sorted keys of CallsFrom per caller, recorded by
+	// Evaluate (see Callees).
+	callees map[string][]string
 }
 
-// perInv captures per-invocation quantities of one function.
+// Callees returns the keys of CallsFrom[caller] in sorted order, so that
+// sums over a caller's call edges do not depend on map iteration.
+func (g *Ground) Callees(caller string) []string {
+	if c, ok := g.callees[caller]; ok {
+		return c
+	}
+	return sortedKeys(g.CallsFrom[caller])
+}
+
+// sortedKeys returns m's keys in sorted order (nil for an empty map).
+func sortedKeys[V any](m map[string]V) []string {
+	if len(m) == 0 {
+		return nil
+	}
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// perInv captures per-invocation quantities of one function. Float sums
+// over its maps run in the sorted key order of callees and commNames:
+// float addition is order-sensitive and the ground truth must not depend
+// on map iteration.
 type perInv struct {
 	excl  float64
 	comm  float64 // communication triggered directly (attributed to MPI fns)
 	calls map[string]float64
-	incl  float64
+	// commPer is the direct communication time per MPI routine name.
+	commPer map[string]float64
+	incl    float64
+
+	callees, commNames []string
 }
 
 // Evaluate computes the ground truth of spec under cfg with the given
@@ -64,7 +98,6 @@ func Evaluate(s *Spec, cfg Config, cost mpisim.CostModel) (*Ground, error) {
 
 	// Per-invocation pass, memoized; specs are non-recursive by validation.
 	memo := make(map[string]*perInv, len(s.Funcs))
-	commPer := make(map[string]map[string]float64) // fn -> mpi name -> secs/inv
 	var eval func(f *FuncSpec) (*perInv, error)
 	var walk func(f *FuncSpec, body []Stmt, mult float64, pi *perInv) error
 	walk = func(f *FuncSpec, body []Stmt, mult float64, pi *perInv) error {
@@ -100,10 +133,10 @@ func Evaluate(s *Spec, cfg Config, cost mpisim.CostModel) (*Ground, error) {
 					}
 					c := commCost(cost, v.Callee, p, count)
 					pi.comm += mult * c
-					if commPer[f.Name] == nil {
-						commPer[f.Name] = make(map[string]float64)
+					if pi.commPer == nil {
+						pi.commPer = make(map[string]float64)
 					}
-					commPer[f.Name][v.Callee] += mult * c
+					pi.commPer[v.Callee] += mult * c
 				}
 			}
 		}
@@ -121,9 +154,11 @@ func Evaluate(s *Spec, cfg Config, cost mpisim.CostModel) (*Ground, error) {
 		if f.HWFactorPExp != 0 {
 			pi.excl *= math.Pow(p, f.HWFactorPExp)
 		}
+		pi.callees = sortedKeys(pi.calls)
+		pi.commNames = sortedKeys(pi.commPer)
 		// Inclusive time: own compute + own comm + callees' inclusive.
 		pi.incl = pi.excl + pi.comm
-		for callee, n := range pi.calls {
+		for _, callee := range pi.callees {
 			if mpi[callee] {
 				continue // already accounted via comm
 			}
@@ -131,7 +166,7 @@ func Evaluate(s *Spec, cfg Config, cost mpisim.CostModel) (*Ground, error) {
 			if err != nil {
 				return nil, err
 			}
-			pi.incl += n * sub.incl
+			pi.incl += pi.calls[callee] * sub.incl
 		}
 		memo[f.Name] = pi
 		return pi, nil
@@ -150,6 +185,7 @@ func Evaluate(s *Spec, cfg Config, cost mpisim.CostModel) (*Ground, error) {
 		InclSeconds:  make(map[string]float64),
 		CommByCaller: make(map[string]float64),
 		CallsFrom:    make(map[string]map[string]float64),
+		callees:      make(map[string][]string),
 	}
 	// Exact propagation by recursion with multiplicity; specs are
 	// non-recursive so the walk terminates.
@@ -162,9 +198,11 @@ func Evaluate(s *Spec, cfg Config, cost mpisim.CostModel) (*Ground, error) {
 		}
 		g.ExclSeconds[name] += n * pi.excl
 		g.InclSeconds[name] += n * pi.incl
-		for callee, per := range pi.calls {
+		for _, callee := range pi.callees {
+			per := pi.calls[callee]
 			if g.CallsFrom[name] == nil {
 				g.CallsFrom[name] = make(map[string]float64)
+				g.callees[name] = pi.callees
 			}
 			g.CallsFrom[name][callee] += n * per
 			if mpi[callee] {
@@ -173,7 +211,8 @@ func Evaluate(s *Spec, cfg Config, cost mpisim.CostModel) (*Ground, error) {
 			}
 			acc(callee, n*per)
 		}
-		for mname, secs := range commPer[name] {
+		for _, mname := range pi.commNames {
+			secs := pi.commPer[mname]
 			g.CommSeconds[mname] += n * secs
 			g.CommByCaller[name] += n * secs
 		}

@@ -49,17 +49,29 @@ func (q Quantity) Times(name string, pow int) Quantity {
 }
 
 // Eval computes the quantity under a parameter configuration; missing
-// parameters default to 1.
+// parameters default to 1. The factors multiply in sorted parameter
+// order: float multiplication is not associative, and the result must
+// not depend on map iteration.
 func (q Quantity) Eval(cfg map[string]float64) float64 {
 	v := q.Coeff
-	for name, pow := range q.Pow {
+	var buf [8]string
+	for _, name := range q.names(buf[:0]) {
 		x, ok := cfg[name]
 		if !ok || x <= 0 {
 			x = 1
 		}
-		v *= math.Pow(x, float64(pow))
+		v *= math.Pow(x, float64(q.Pow[name]))
 	}
 	return v
+}
+
+// names appends q's parameter names to dst in sorted order.
+func (q Quantity) names(dst []string) []string {
+	for n := range q.Pow {
+		dst = append(dst, n)
+	}
+	sort.Strings(dst)
+	return dst
 }
 
 // EvalInt computes the quantity under a configuration with the integer
@@ -73,11 +85,8 @@ func (q Quantity) EvalInt(cfg map[string]float64) int64 {
 	if c < 1 {
 		c = 1
 	}
-	names := make([]string, 0, len(q.Pow))
-	for n := range q.Pow {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	var buf [8]string
+	names := q.names(buf[:0])
 	for _, n := range names {
 		if pow := q.Pow[n]; pow > 0 {
 			p := int64(math.Round(cfg[n]))

@@ -11,7 +11,9 @@
 package cluster
 
 import (
+	"maps"
 	"math"
+	"slices"
 
 	"repro/internal/apps"
 	"repro/internal/mpisim"
@@ -102,6 +104,12 @@ type Runner struct {
 	// RanksPerNodeOverride, when > 0, pins the co-location degree (the C1
 	// experiment varies it at fixed p).
 	RanksPerNodeOverride int
+
+	// reaches is reachesMPI(reachesOf), built once by NewRunner because
+	// it depends on the spec alone. Measure recomputes it for a runner
+	// built as a struct literal or whose Spec was replaced since.
+	reaches   map[string]bool
+	reachesOf *apps.Spec
 }
 
 // NewRunner assembles a runner with evaluation defaults.
@@ -111,7 +119,18 @@ func NewRunner(spec *apps.Spec) *Runner {
 		Cost:      mpisim.DefaultCost(),
 		Machine:   Skylake(),
 		Intrusion: DefaultIntrusion(),
+		reaches:   reachesMPI(spec),
+		reachesOf: spec,
 	}
+}
+
+// mpiReach returns the spec functions whose call subtree contains an
+// MPI call, from the set NewRunner built when it is current.
+func (r *Runner) mpiReach() map[string]bool {
+	if r.reaches != nil && r.reachesOf == r.Spec {
+		return r.reaches
+	}
+	return reachesMPI(r.Spec)
 }
 
 // Profile is one synthetic measurement of an application configuration.
@@ -155,19 +174,22 @@ func (r *Runner) Measure(cfg apps.Config, instrumented map[string]bool, reps int
 
 	// Instrumented event volume per function: own events plus events of
 	// instrumented direct callees (the getter storm lands on its callers).
+	// Event sums run in sorted name order: float addition is
+	// order-sensitive and a profile must not depend on map iteration.
 	eventsOf := func(name string) float64 {
 		ev := 0.0
 		if instrumented[name] {
 			ev += g.Calls[name]
 		}
-		for callee, n := range g.CallsFrom[name] {
+		from := g.CallsFrom[name]
+		for _, callee := range g.Callees(name) {
 			if instrumented[callee] {
-				ev += n
+				ev += from[callee]
 			}
 		}
 		return ev
 	}
-	reaches := reachesMPI(r.Spec)
+	reaches := r.mpiReach()
 	sqrtP := math.Sqrt(float64(p))
 	ovhOf := func(name string) float64 {
 		ev := eventsOf(name)
@@ -179,8 +201,8 @@ func (r *Runner) Measure(cfg apps.Config, instrumented map[string]bool, reps int
 		return ovh
 	}
 	totalEvents := 0.0
-	for name, on := range instrumented {
-		if on {
+	for _, name := range slices.Sorted(maps.Keys(instrumented)) {
+		if instrumented[name] {
 			totalEvents += g.Calls[name]
 		}
 	}

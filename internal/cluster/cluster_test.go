@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -258,5 +259,73 @@ func TestImbalanceStretchesMeasurement(t *testing.T) {
 	}
 	if g.ExclSeconds["worker"] != g.ExclSeconds["steady"] {
 		t.Error("ground truth must stay rank-symmetric: skew is a measurement effect")
+	}
+}
+
+// fractionalSpec is a small app whose float sums depend on their order:
+// main calls three getters and a communication wrapper at fractional
+// rates, and the wrapper issues four MPI routines at fractional rates
+// with fractional message counts.
+func fractionalSpec() *apps.Spec {
+	n := func(c float64) apps.Quantity { return apps.QP(c, "n", 1) }
+	perM := func(c float64) *apps.Quantity { q := n(c).Times("m", -1); return &q }
+	loop := func(rate float64, body ...apps.Stmt) apps.Loop {
+		return apps.Loop{Kind: apps.ParamBound, Bound: n(rate), Body: body}
+	}
+	getter := func(name string) *apps.FuncSpec {
+		return &apps.FuncSpec{Name: name, Kind: apps.KindGetter, WorkNanos: 0.7,
+			Body: []apps.Stmt{apps.Work{Units: 1.3}}}
+	}
+	return &apps.Spec{
+		Name:   "fractional",
+		Params: []string{"n", "m"},
+		Funcs: []*apps.FuncSpec{
+			{Name: "main", Kind: apps.KindMain, WorkNanos: 1.1, Body: []apps.Stmt{
+				loop(0.1, apps.Call{Callee: "get_a"}),
+				loop(0.2, apps.Call{Callee: "get_b"}),
+				loop(0.3, apps.Call{Callee: "get_c"}, apps.Work{Units: 0.3}),
+				loop(0.7, apps.Call{Callee: "exchange"}),
+			}},
+			{Name: "exchange", Kind: apps.KindComm, WorkNanos: 0.9, MemIntensity: 0.4, Body: []apps.Stmt{
+				apps.Work{Units: 2.1},
+				loop(0.1, apps.Call{Callee: "MPI_Send", CountArg: perM(0.3)}),
+				loop(0.2, apps.Call{Callee: "MPI_Allreduce", CountArg: perM(1.7)}),
+				loop(0.3, apps.Call{Callee: "MPI_Bcast", CountArg: perM(2.9)}),
+				loop(0.6, apps.Call{Callee: "MPI_Gather", CountArg: perM(0.61)}),
+				apps.Call{Callee: "get_a"},
+			}},
+			getter("get_a"), getter("get_b"), getter("get_c"),
+		},
+		MPIUsed: []string{"MPI_Send", "MPI_Allreduce", "MPI_Bcast", "MPI_Gather"},
+	}
+}
+
+// TestMeasureBitIdenticalAcrossCalls requires repeated measurements of
+// one configuration to agree in every bit: the ground truth and the
+// instrumentation events are float sums over maps, and they must run in
+// a fixed order.
+func TestMeasureBitIdenticalAcrossCalls(t *testing.T) {
+	spec := fractionalSpec()
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(spec)
+	cfg := apps.Config{"n": 1, "m": 3.1, "p": 12}
+	all := map[string]bool{"main": true, "exchange": true, "get_a": true, "get_b": true,
+		"get_c": true, "MPI_Send": true, "MPI_Allreduce": true, "MPI_Bcast": true, "MPI_Gather": true}
+	measure := func() string {
+		prof, err := r.Measure(cfg, all, 3, noise.New(42, 0.02, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// %v prints maps in key order and floats in their shortest
+		// round-tripping form, so equal strings mean equal bits.
+		return fmt.Sprintf("%v", *prof)
+	}
+	want := measure()
+	for i := 0; i < 300; i++ {
+		if got := measure(); got != want {
+			t.Fatalf("call %d: profile differs\n got %s\nwant %s", i, got, want)
+		}
 	}
 }

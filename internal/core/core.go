@@ -65,7 +65,15 @@ type Prepared struct {
 	// restarted daemon re-lowers on first compiled-mode use of a digest.
 	compiledOnce sync.Once
 	compiled     *interp.Compiled
+
+	// fuel overrides the instruction budget of one tainted run when > 0
+	// (runFuel otherwise); it exists so that fuel exhaustion can be
+	// exercised without running billions of instructions.
+	fuel int64
 }
+
+// runFuel bounds the instructions of one tainted run.
+const runFuel = 4_000_000_000
 
 // CompiledProgram returns the compiled-closure artifact for Program,
 // lowering it on first use. Safe for concurrent use; every Analyze run
@@ -128,20 +136,43 @@ func PrepareModule(spec *apps.Spec, mod *ir.Module, db *libdb.DB) *Prepared {
 	}
 }
 
-// Analyze runs the per-configuration dynamic stage on the cached
-// artifacts: the tainted execution, dependency aggregation, symbolic
-// volumes, and the relevance filter. cfg must contain every spec parameter
-// plus the implicit MPI parameter p. Analyze is safe to call from multiple
-// goroutines on the same Prepared value.
-func (p *Prepared) Analyze(cfg apps.Config) (*Report, error) {
-	r := &Report{Spec: p.Spec, Module: p.Module, DB: p.DB, Static: p.Static, Plan: p.Plan}
+// Observation is what one design point of a model extraction reads from
+// its tainted run: the dynamic instruction count and the per-function
+// loop-iteration sums. It is the lean counterpart of Report — the same
+// run, without dependency aggregation, volumes or relevance.
+type Observation struct {
+	// Instructions is the dynamic cost of the tainted run.
+	Instructions int64
+	// Iterations sums the run's loop iterations per function
+	// (taint.Engine.FuncLoopIterations).
+	Iterations map[string]int64
+}
 
-	// Stage 2: dynamic taint analysis. The predecoded program is shared
-	// read-only across all concurrent runs of this Prepared.
+// Observe runs the tainted execution at cfg and folds its loop records
+// into per-function iteration sums, skipping the aggregation stages of
+// Analyze. It runs exactly the machine Analyze runs, so Instructions and
+// Iterations equal those of the full report at the same cfg. Observe is
+// safe to call from multiple goroutines on the same Prepared value.
+func (p *Prepared) Observe(cfg apps.Config) (*Observation, error) {
+	engine, instructions, err := p.run(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Observation{Instructions: instructions, Iterations: engine.FuncLoopIterations()}, nil
+}
+
+// run is the dynamic taint analysis (stage 2) shared by Analyze and
+// Observe: one fresh machine and taint engine over the shared predecoded
+// program, bound to cfg's rank count. It returns the engine holding the
+// run's records and the executed instruction count.
+func (p *Prepared) run(cfg apps.Config) (*taint.Engine, int64, error) {
 	engine := taint.NewEngine()
 	mach := interp.NewMachine(p.Module)
 	mach.Taint = engine
-	mach.Fuel = 4_000_000_000
+	mach.Fuel = runFuel
+	if p.fuel > 0 {
+		mach.Fuel = p.fuel
+	}
 	mach.Mode = p.Mode
 	mach.Prog = p.Program
 	if p.Mode == interp.ModeCompiled {
@@ -149,7 +180,7 @@ func (p *Prepared) Analyze(cfg apps.Config) (*Report, error) {
 	}
 	pVal := int64(cfg["p"])
 	if pVal <= 0 {
-		return nil, fmt.Errorf("core: config missing implicit parameter p")
+		return nil, 0, fmt.Errorf("core: config missing implicit parameter p")
 	}
 	p.DB.Bind(mach, engine, libdb.RunConfig{CommSize: pVal, Rank: 0})
 
@@ -159,10 +190,25 @@ func (p *Prepared) Analyze(cfg apps.Config) (*Report, error) {
 	}
 	res, err := mach.Run("main", apps.TaintArgs(p.Spec, cfg), labels)
 	if err != nil {
-		return nil, fmt.Errorf("core: tainted run: %w", err)
+		return nil, 0, fmt.Errorf("core: tainted run: %w", err)
 	}
-	r.Engine = engine
-	r.Instructions = res.Instructions
+	return engine, res.Instructions, nil
+}
+
+// Analyze runs the per-configuration dynamic stage on the cached
+// artifacts: the tainted execution, dependency aggregation, symbolic
+// volumes, and the relevance filter. cfg must contain every spec parameter
+// plus the implicit MPI parameter p. Analyze is safe to call from multiple
+// goroutines on the same Prepared value.
+func (p *Prepared) Analyze(cfg apps.Config) (*Report, error) {
+	// Stage 2: dynamic taint analysis. The predecoded program is shared
+	// read-only across all concurrent runs of this Prepared.
+	engine, instructions, err := p.run(cfg)
+	if err != nil {
+		return nil, err
+	}
+	r := &Report{Spec: p.Spec, Module: p.Module, DB: p.DB, Static: p.Static, Plan: p.Plan,
+		Engine: engine, Instructions: instructions}
 
 	// Stage 3: aggregation. FuncDeps is transitive over the call graph:
 	// the paper's models are calling-context profiles, so a function whose

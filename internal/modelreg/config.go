@@ -62,9 +62,12 @@ type Config struct {
 	Seed int64 `json:"seed,omitempty"`
 	// RelNoise is the relative measurement noise level (default 0.02).
 	RelNoise float64 `json:"rel_noise,omitempty"`
-	// Batch is the incremental refit cadence: the pipeline refits after
-	// every Batch completed design points (default 5; 0 keeps the
-	// default, negative disables interim refits).
+	// Batch is the incremental refit cadence of an observed (streamed)
+	// extraction: with an observer, the pipeline refits after every
+	// Batch completed design points and reports each refit as an event
+	// (default 5; 0 keeps the default, negative disables interim
+	// refits). Without an observer no interim refit runs; the final
+	// model set never depends on Batch.
 	Batch int `json:"batch,omitempty"`
 	// Metrics selects the modeled quantities (default: seconds and
 	// iterations). The first metric ranks the report.

@@ -4,13 +4,14 @@
 //
 // Three pieces compose:
 //
-//   - Pipeline consumes runner sweep results as they stream (one per
-//     design point, in design order), feeds per-function/per-metric
-//     points into extrap datasets, and refits incrementally whenever a
-//     configurable batch of new points fills. The white-box half comes
-//     from a taint run at the smallest design point: its per-function
-//     parameter dependencies become extrap priors, its relevance set the
-//     instrumentation filter.
+//   - Pipeline consumes sweep samples as they stream (one per design
+//     point, in design order; LocalSweep builds them from the lean
+//     core.Prepared.Observe), feeds per-function/per-metric points into
+//     extrap datasets, and, when an observer listens, refits
+//     incrementally whenever a configurable batch of new points fills.
+//     The white-box half comes from a full taint run at the smallest
+//     design point: its per-function parameter dependencies become
+//     extrap priors, its relevance set the instrumentation filter.
 //
 //   - ModelSet is the finished artifact: per function and metric, the
 //     hybrid (taint-prior) and black-box fits with validation
@@ -21,7 +22,8 @@
 //
 //   - Registry is the content-addressed store: model sets are keyed by
 //     the spec's content digest plus a canonical digest of the modeling
-//     design (axes, defaults, repetitions, seed, metrics, fit cadence),
+//     design (axes, defaults, repetitions, seed, noise, metrics, model
+//     parameters; not the refit cadence, which never shapes the set),
 //     so the same spec and design never fit twice — the analysis
 //     daemon's POST /v1/models answers repeats from cache.
 //

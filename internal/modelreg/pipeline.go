@@ -49,14 +49,14 @@ type fnMetric struct {
 
 // Pipeline incrementally turns streamed sweep results into a ModelSet.
 // Construction runs the white-box taint analysis once (at the smallest
-// design point); every Consume call folds one design point's
+// design point); every ConsumeSample call folds one design point's
 // measurements into the per-function datasets and refits when the
 // configured batch fills; Finish runs the final fits and assembles the
 // artifact.
 //
-// A Pipeline is single-consumer: Consume and Finish must be called from
-// one goroutine (runner.SweepFitCtx's emit contract guarantees this).
-// It implements the sink side of runner.SweepFitCtx.
+// A Pipeline is single-consumer: ConsumeSample and Finish must be called
+// from one goroutine (runner.Stream's emit contract guarantees this for
+// LocalSweep).
 type Pipeline struct {
 	cfg     Config
 	prep    *core.Prepared
@@ -108,7 +108,7 @@ func NewPipeline(p *core.Prepared, cfg Config, workers int, onEvent func(Event))
 }
 
 // Configs returns the design's configuration grid in sweep order — the
-// exact slice to hand runner.SweepFitCtx alongside Consume.
+// exact slice to hand a SweepFunc alongside ConsumeSample.
 func (pl *Pipeline) Configs() []apps.Config { return pl.cfgs }
 
 func (pl *Pipeline) emit(ev Event) {
@@ -121,9 +121,10 @@ func (pl *Pipeline) emit(ev Event) {
 // the fitter: everything ConsumeSample needs, and nothing that cannot
 // cross a process boundary. A coordinator merging shard results from
 // remote workers reconstructs Samples from wire records (the full
-// core.Report never travels); the local path distills them from runner
-// results via ResultSample. The two must agree — same inputs, same
-// Sample — for distributed extraction to reproduce single-node models.
+// core.Report never travels); the local path builds them from
+// core.Prepared.Observe in LocalSweep. The two must agree — same inputs,
+// same Sample — for distributed extraction to reproduce single-node
+// models.
 type Sample struct {
 	// Index is the design-order position of this observation.
 	Index int
@@ -138,48 +139,17 @@ type Sample struct {
 
 // SumLoopIterations folds a report's per-loop engine records into
 // per-function totals — the MetricIterations observation of one design
-// point.
+// point, equal to core.Observation.Iterations at the same configuration.
 func SumLoopIterations(rep *core.Report) map[string]int64 {
-	iters := make(map[string]int64)
-	for k, rec := range rep.Engine.Loops {
-		iters[k.Func] += rec.Iterations
-	}
-	return iters
-}
-
-// ResultSample distills a streamed sweep result into its Sample. A
-// failed result returns the error the pipeline aborts the stream with —
-// a missing design point would silently skew every model the sweep was
-// meant to produce.
-func ResultSample(res runner.Result) (Sample, error) {
-	if res.Err != nil {
-		return Sample{}, fmt.Errorf("modelreg: design point %d (%v): %w", res.Index, res.Config, res.Err)
-	}
-	return Sample{
-		Index:        res.Index,
-		Config:       res.Config,
-		Iterations:   SumLoopIterations(res.Report),
-		Instructions: res.Report.Instructions,
-	}, nil
-}
-
-// Consume folds one streamed sweep result into the datasets: the tainted
-// run's per-function loop iteration counts (MetricIterations) and the
-// synthetic instrumented measurement at the same configuration
-// (MetricSeconds). When a full batch of new points has accumulated, the
-// primary-metric models are refit incrementally. An analysis failure
-// aborts the stream.
-func (pl *Pipeline) Consume(res runner.Result) error {
-	s, err := ResultSample(res)
-	if err != nil {
-		return err
-	}
-	return pl.ConsumeSample(s)
+	return rep.Engine.FuncLoopIterations()
 }
 
 // ConsumeSample folds one design point's distilled observation into the
-// datasets. It is the process-boundary-friendly half of Consume: the
-// MetricSeconds measurement is synthesized here — deterministically from
+// datasets: the tainted run's per-function loop iteration counts
+// (MetricIterations) and the synthetic instrumented measurement at the
+// same configuration (MetricSeconds). When a full batch of new points has
+// accumulated and an observer listens, the primary-metric models are
+// refit incrementally. The MetricSeconds measurement is synthesized here — deterministically from
 // the seed and the sample's index, never from who computed the sample —
 // so a coordinator consuming remote samples produces the exact datasets
 // a single node would.
@@ -216,7 +186,9 @@ func (pl *Pipeline) ConsumeSample(s Sample) error {
 	pl.emit(Event{Type: "point", Index: s.Index, Config: s.Config,
 		Instructions: s.Instructions, Points: pl.points, Total: len(pl.cfgs)})
 
-	if pl.cfg.Batch > 0 && pl.points%pl.cfg.Batch == 0 && pl.points < len(pl.cfgs) {
+	// An interim refit's fits are discarded; only its event is
+	// observable, so without an observer it is skipped.
+	if pl.onEvent != nil && pl.cfg.Batch > 0 && pl.points%pl.cfg.Batch == 0 && pl.points < len(pl.cfgs) {
 		pl.refit()
 	}
 	return nil
@@ -235,8 +207,9 @@ func (pl *Pipeline) dataset(fn, metric string) *extrap.Dataset {
 // refit runs the incremental mid-sweep fit: hybrid models of the primary
 // metric over the points so far. Its purpose is pipelining — consumers
 // watching the event stream see models sharpen while the sweep tail is
-// still running — so it fits only the ranking metric; Finish always
-// refits everything on the complete data.
+// still running — so it fits only the ranking metric and runs only when
+// an observer listens; Finish always refits everything on the complete
+// data.
 func (pl *Pipeline) refit() {
 	metric := pl.cfg.Metrics[0]
 	var reqs []extrap.Request
@@ -421,18 +394,23 @@ func (pl *Pipeline) kind(fn string) string {
 // shard merge.
 type SweepFunc func(ctx context.Context, cfgs []apps.Config, consume func(Sample) error) error
 
-// LocalSweep adapts the in-process runner to a SweepFunc: the design
-// streams through r's pipelined sweep and every result is distilled via
-// ResultSample.
+// LocalSweep adapts the in-process runner to a SweepFunc: every design
+// point runs core.Prepared.Observe on r's worker pool — the tainted run
+// and its loop-iteration sums, nothing the pipeline does not read — and
+// the observations stream to consume in design order. A failed or
+// skipped point aborts the sweep: a missing design point would silently
+// skew every model the sweep was meant to produce.
 func LocalSweep(r *runner.Runner, p *core.Prepared) SweepFunc {
 	return func(ctx context.Context, cfgs []apps.Config, consume func(Sample) error) error {
-		return r.SweepFitCtx(ctx, p, cfgs, func(res runner.Result) error {
-			s, err := ResultSample(res)
-			if err != nil {
-				return err
-			}
-			return consume(s)
-		})
+		return runner.Stream(ctx, r, len(cfgs),
+			func(i int) (*core.Observation, error) { return p.Observe(cfgs[i]) },
+			func(i int, obs *core.Observation, err error) error {
+				if err != nil {
+					return fmt.Errorf("modelreg: design point %d (%v): %w", i, cfgs[i], err)
+				}
+				return consume(Sample{Index: i, Config: cfgs[i],
+					Iterations: obs.Iterations, Instructions: obs.Instructions})
+			})
 	}
 }
 

@@ -166,8 +166,15 @@ func TestPipelineAbortsOnAnalysisError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pl.Consume(runner.Result{Index: 0, Err: errors.New("boom")}); err == nil {
-		t.Fatal("Consume swallowed a design-point failure")
+	// A point without the implicit parameter p fails its tainted run.
+	sweep := LocalSweep(&runner.Runner{Workers: 2}, prep)
+	bad := []apps.Config{pl.Configs()[0], {"size": 10, "iters": 2}}
+	err = sweep(context.Background(), bad, func(Sample) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), "design point 1") {
+		t.Fatalf("LocalSweep swallowed a design-point failure: %v", err)
+	}
+	if err := sweep(context.Background(), bad[1:], pl.ConsumeSample); err == nil {
+		t.Fatal("the pipeline consumed a failed design point")
 	}
 	if _, err := pl.Finish(); err == nil {
 		t.Fatal("Finish succeeded with zero consumed points")

@@ -90,7 +90,7 @@ func (r *Runner) AnalyzeBatchPreparedCtx(ctx context.Context, p *core.Prepared, 
 	out := make([]Result, len(cfgs))
 	Map(r.workers(), len(cfgs), func(i int) {
 		if err := ctx.Err(); err != nil {
-			out[i] = Result{Index: i, Config: cfgs[i], Err: fmt.Errorf("runner: job %d skipped: %w", i, err)}
+			out[i] = Result{Index: i, Config: cfgs[i], Err: skipped(i, err)}
 			return
 		}
 		rep, err := p.Analyze(cfgs[i])
@@ -109,11 +109,10 @@ func (r *Runner) Sweep(d Design) ([]Result, error) {
 // runs out across the worker pool exactly like AnalyzeBatchPreparedCtx,
 // but hands each Result to emit in input order as soon as it and all its
 // predecessors have finished — downstream consumers start working on
-// design point i while points i+1.. are still being analyzed. It exists
-// for the model-extraction pipeline (internal/modelreg), which feeds
-// sweep results into an incremental fitter as they stream, hence the
-// name; any consumer that wants pipelined, input-ordered results can
-// use it.
+// design point i while points i+1.. are still being analyzed. Any
+// consumer that wants pipelined, input-ordered reports can use it; the
+// model-extraction pipeline streams the leaner core.Prepared.Observe
+// through Stream instead.
 //
 // emit is called from the SweepFitCtx goroutine only, never concurrently.
 // A non-nil error from emit cancels all jobs that have not started
@@ -121,38 +120,65 @@ func (r *Runner) Sweep(d Design) ([]Result, error) {
 // pool drains. Per-job analysis failures do not abort the stream: they
 // arrive in Result.Err like in the batch API, and the consumer decides.
 func (r *Runner) SweepFitCtx(ctx context.Context, p *core.Prepared, cfgs []apps.Config, emit func(Result) error) error {
+	return Stream(ctx, r, len(cfgs),
+		func(i int) (*core.Report, error) { return p.Analyze(cfgs[i]) },
+		func(i int, rep *core.Report, err error) error {
+			return emit(Result{Index: i, Config: cfgs[i], Report: rep, Err: err})
+		})
+}
+
+// Stream is the input-ordered streaming core of SweepFitCtx, generic in
+// the job's outcome: it runs job(i) for every i in [0, n) on r's worker
+// pool and calls emit(i, v, err) in index order as soon as job i and all
+// its predecessors have finished. A job that has not started when ctx is
+// done is not run; emit receives a "skipped" error for it instead.
+//
+// emit is called from the Stream goroutine only, never concurrently. A
+// non-nil error from emit cancels all jobs that have not started (running
+// jobs finish), stops further emits, and is returned after the pool
+// drains.
+func Stream[T any](ctx context.Context, r *Runner, n int, job func(i int) (T, error), emit func(i int, v T, err error) error) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	out := make([]Result, len(cfgs))
-	ready := make([]chan struct{}, len(cfgs))
+	type outcome struct {
+		v   T
+		err error
+	}
+	out := make([]outcome, n)
+	ready := make([]chan struct{}, n)
 	for i := range ready {
 		ready[i] = make(chan struct{})
 	}
 	poolDone := make(chan struct{})
 	go func() {
 		defer close(poolDone)
-		Map(r.workers(), len(cfgs), func(i int) {
+		Map(r.workers(), n, func(i int) {
 			defer close(ready[i])
 			if err := ctx.Err(); err != nil {
-				out[i] = Result{Index: i, Config: cfgs[i], Err: fmt.Errorf("runner: job %d skipped: %w", i, err)}
+				out[i].err = skipped(i, err)
 				return
 			}
-			rep, err := p.Analyze(cfgs[i])
-			out[i] = Result{Index: i, Config: cfgs[i], Report: rep, Err: err}
+			out[i].v, out[i].err = job(i)
 		})
 	}()
 	var emitErr error
-	for i := range cfgs {
+	for i := range out {
 		<-ready[i]
 		if emitErr == nil {
-			if err := emit(out[i]); err != nil {
+			if err := emit(i, out[i].v, out[i].err); err != nil {
 				emitErr = err
 				cancel() // skip everything not yet started
 			}
 		}
+		out[i] = outcome{} // emitted: release it for the collector
 	}
 	<-poolDone
 	return emitErr
+}
+
+// skipped is the error of job i that never ran because ctx was done.
+func skipped(i int, err error) error {
+	return fmt.Errorf("runner: job %d skipped: %w", i, err)
 }
 
 // FirstErr returns the first per-job error of a batch in input order, or

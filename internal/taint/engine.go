@@ -224,6 +224,17 @@ func (e *Engine) FuncLoopDeps() map[string][]string {
 	return out
 }
 
+// FuncLoopIterations sums, per function, the dynamic iterations of all
+// its loops across all call paths. A function whose loops were entered
+// but never iterated maps to 0.
+func (e *Engine) FuncLoopIterations() map[string]int64 {
+	iters := make(map[string]int64)
+	for k, r := range e.Loops {
+		iters[k.Func] += r.Iterations
+	}
+	return iters
+}
+
 // TaintedSelections returns branches with tainted conditions that are not
 // loop exits and that executed only one direction — candidate
 // parameter-based algorithm selections / unvisited code paths (Section 4.4).
