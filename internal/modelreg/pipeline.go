@@ -149,10 +149,10 @@ func SumLoopIterations(rep *core.Report) map[string]int64 {
 // (MetricIterations) and the synthetic instrumented measurement at the
 // same configuration (MetricSeconds). When a full batch of new points has
 // accumulated and an observer listens, the primary-metric models are
-// refit incrementally. The MetricSeconds measurement is synthesized here — deterministically from
-// the seed and the sample's index, never from who computed the sample —
-// so a coordinator consuming remote samples produces the exact datasets
-// a single node would.
+// refit incrementally. The MetricSeconds measurement is synthesized here
+// — deterministically from the seed and the sample's index, never from
+// who computed the sample — so a coordinator consuming remote samples
+// produces the exact datasets a single node would.
 func (pl *Pipeline) ConsumeSample(s Sample) error {
 	pv := make(map[string]float64, len(pl.cfg.Params))
 	for _, prm := range pl.cfg.Params {
