@@ -162,8 +162,9 @@ func (p *Prepared) Observe(cfg apps.Config) (*Observation, error) {
 }
 
 // run is the dynamic taint analysis (stage 2) shared by Analyze and
-// Observe: one fresh machine and taint engine over the shared predecoded
-// program, bound to cfg's rank count. It returns the engine holding the
+// Observe: one fresh machine and taint engine over the predecoded
+// program, which every concurrent run of this Prepared shares read-only,
+// bound to cfg's rank count. It returns the engine holding the
 // run's records and the executed instruction count.
 func (p *Prepared) run(cfg apps.Config) (*taint.Engine, int64, error) {
 	engine := taint.NewEngine()
@@ -201,8 +202,7 @@ func (p *Prepared) run(cfg apps.Config) (*taint.Engine, int64, error) {
 // plus the implicit MPI parameter p. Analyze is safe to call from multiple
 // goroutines on the same Prepared value.
 func (p *Prepared) Analyze(cfg apps.Config) (*Report, error) {
-	// Stage 2: dynamic taint analysis. The predecoded program is shared
-	// read-only across all concurrent runs of this Prepared.
+	// Stage 2: dynamic taint analysis.
 	engine, instructions, err := p.run(cfg)
 	if err != nil {
 		return nil, err
